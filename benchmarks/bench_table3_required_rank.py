@@ -1,8 +1,10 @@
 """Table 3: required rank N for 0.3 speed-efficiency at every GE system
 configuration (the paper's 2/4/8/16/32-node ensembles).
 
-This is the expensive study: the 32-node search simulates tens of
-millions of events.  The benchmark times one additional required-rank
+This is the expensive study: the model-seeded search needs 2-3
+simulated probes per configuration, but each 32-node probe near
+N = 23500 is about 6.8 million events, so the whole study runs about 16
+million events.  The benchmark times one additional required-rank
 search on the smallest configuration (representative cost); the full
 study is computed once in the session fixture and validated here.
 """

@@ -1,6 +1,6 @@
 """Parallel sweep execution with a persistent content-addressed run cache.
 
-Scalability studies (efficiency curves, required-size bisections, fault
+Scalability studies (efficiency curves, required-size searches, fault
 sweeps) sample many independent ``(app, cluster, N)`` simulation points.
 :class:`SweepExecutor` removes the two dominant costs of that regime:
 
@@ -8,7 +8,7 @@ sweeps) sample many independent ``(app, cluster, N)`` simulation points.
   :class:`~repro.experiments.pool.WorkerPool` (``jobs=``; the default of
   1 executes in-process, preserving the legacy serial path bit for
   bit).  The pool is spawned once per process and reused by every
-  batch, sweep and bisection probe; tasks are dispatched in adaptive
+  batch, sweep and search probe; tasks are dispatched in adaptive
   chunks and reference interned cluster/fault-schedule specs by hash
   instead of shipping them per task (see :mod:`repro.experiments.pool`).
   ``keep_pool=False`` restores the legacy throwaway pool-per-batch
@@ -18,7 +18,7 @@ sweeps) sample many independent ``(app, cluster, N)`` simulation points.
   deterministic profile hash (app, N, cluster spec hash, run kwargs such
   as the :class:`~repro.mpi.communicator.CollectiveConfig`, the fault
   schedule's ``profile_hash`` and the library version), so repeated
-  curves, bisections and CI smoke runs are near-free.
+  curves, searches and CI smoke runs are near-free.
 
 Determinism is the contract: the simulator is deterministic, floats
 survive both the pickle transport from workers and the JSON round-trip
@@ -474,7 +474,7 @@ class SweepExecutor:
     :class:`~repro.experiments.pool.WorkerPool`: with the default
     ``keep_pool=True`` (and no pinned ``start_method``) the
     process-global shared pool for ``jobs`` workers, spawned once and
-    reused across batches, sweeps, executors and bisection probes.
+    reused across batches, sweeps, executors and search probes.
     ``keep_pool=False`` restores the legacy spawn-per-batch behavior;
     ``start_method="spawn"`` (etc.) pins the multiprocessing start
     method on an executor-private persistent pool (release it with
@@ -790,7 +790,7 @@ class SweepExecutor:
         ``keep_pool=True`` (default) without a pinned start method uses
         the process-global :func:`~repro.experiments.pool.shared_pool`
         for ``jobs`` workers -- spawned once, reused by every batch,
-        sweep and bisection probe in this process.  A pinned
+        sweep and search probe in this process.  A pinned
         ``start_method`` gets an executor-private persistent pool (still
         warm across this executor's batches; see :meth:`close`).
         ``keep_pool=False`` reproduces the legacy throwaway
@@ -978,97 +978,3 @@ def resolve_executor(executor: SweepExecutor | None = None) -> SweepExecutor:
     if _ACTIVE_EXECUTOR is not None:
         return _ACTIVE_EXECUTOR
     return SweepExecutor()
-
-
-# -- speculative bisection prefetch -------------------------------------------
-
-class BisectionPrefetcher:
-    """Memoized point evaluation with speculative bracket prefetch.
-
-    ``warm`` mirrors :func:`~repro.core.condition.required_problem_size`'s
-    exact walk -- bracket doubling, then bisection -- submitting each
-    round's probe *and* the probes both branch outcomes would need next
-    as one parallel batch.  The subsequent unmodified serial search then
-    consumes the memo and returns the identical answer by construction;
-    speculation only ever adds extra (cached, reusable) evaluations.
-    """
-
-    def __init__(
-        self,
-        executor: SweepExecutor,
-        app: str,
-        cluster: ClusterSpec,
-        schedule: Any = None,
-        **run_kwargs: Any,
-    ):
-        self.executor = executor
-        self.app = app
-        self.cluster = cluster
-        self.schedule = schedule
-        self.run_kwargs = run_kwargs
-        self.memo: dict[int, RunRecord] = {}
-
-    def point(self, n: int) -> SweepPoint:
-        return SweepPoint.make(
-            self.app, self.cluster, n, schedule=self.schedule,
-            **self.run_kwargs,
-        )
-
-    def batch(self, sizes: Sequence[int]) -> None:
-        """Evaluate any not-yet-memoized sizes as one parallel batch."""
-        todo = [n for n in dict.fromkeys(int(n) for n in sizes)
-                if n not in self.memo]
-        if not todo:
-            return
-        records = self.executor.run_points([self.point(n) for n in todo])
-        for n, record in zip(todo, records):
-            self.memo[n] = record
-
-    def record(self, n: int) -> RunRecord:
-        n = int(n)
-        if n not in self.memo:
-            self.memo[n] = self.executor.run_point(self.point(n))
-        return self.memo[n]
-
-    def efficiency(self, n: int) -> float:
-        """Drop-in evaluator for ``required_problem_size``."""
-        return self.record(n).speed_efficiency
-
-    def warm(
-        self,
-        target: float,
-        lower: int = 2,
-        upper: int | None = None,
-        max_upper: int = 1 << 22,
-        rtol: float = 0.0,
-    ) -> None:
-        """Prefetch every probe the serial bisection will evaluate."""
-        if target <= 0:
-            return
-        lower = int(lower)
-        self.batch([lower] if upper is None else [lower, int(upper)])
-        if self.efficiency(lower) >= target:
-            return
-        if upper is None:
-            upper = max(2 * lower, 16)
-            while True:
-                self.batch([upper, min(2 * upper, max_upper)])
-                if self.efficiency(upper) >= target:
-                    break
-                if upper >= max_upper:
-                    return  # the serial search raises the MetricError
-                upper = min(2 * upper, max_upper)
-        else:
-            upper = int(upper)
-            if self.efficiency(upper) < target:
-                return  # serial search raises / caller falls back
-        lo, hi = lower, upper
-        while hi - lo > 1 and hi - lo > rtol * hi:
-            mid = (lo + hi) // 2
-            # Speculate: whichever way the test goes, the next midpoint
-            # is one of the two quarter points -- fetch all three now.
-            self.batch([mid, (lo + mid) // 2, (mid + hi) // 2])
-            if self.efficiency(mid) >= target:
-                hi = mid
-            else:
-                lo = mid

@@ -10,7 +10,7 @@ the per-batch costs:
 * :class:`WorkerPool` -- a lazily-spawned process pool that *survives*
   across batches and sweeps.  :func:`shared_pool` hands out one
   process-global pool per worker count (spawned once per process,
-  reused by every executor, bisection probe batch and CLI command in
+  reused by every executor, search probe and CLI command in
   that process; shut down at interpreter exit or explicitly via
   :func:`shutdown_worker_pools`).  Fork-safety is guarded: a pool
   handle inherited into a forked child is detected by pid and
@@ -306,9 +306,9 @@ def shared_pool(workers: int) -> WorkerPool:
     """The process-global persistent pool for ``workers`` workers.
 
     Spawned lazily on first use and reused by every executor in the
-    process -- consecutive sweeps, bracket-doubling/bisection probe
-    batches and CLI commands all share it.  Shut down at interpreter
-    exit (or explicitly with :func:`shutdown_worker_pools`).
+    process -- consecutive sweeps, search probes and CLI commands all
+    share it.  Shut down at interpreter exit (or explicitly with
+    :func:`shutdown_worker_pools`).
     """
     global _ATEXIT_REGISTERED
     pool = _POOLS.get(workers)

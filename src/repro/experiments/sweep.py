@@ -14,7 +14,7 @@ from ..core.condition import required_problem_size
 from ..core.trendline import TrendFit, fit_trend_from_measurements
 from ..core.types import Measurement
 from ..machine.cluster import ClusterSpec
-from .executor import BisectionPrefetcher, SweepExecutor, SweepPoint, resolve_executor
+from .executor import SweepExecutor, SweepPoint, resolve_executor
 from .runner import RunRecord, marked_speed_of
 
 
@@ -78,29 +78,30 @@ def required_size_by_simulation(
     executor: SweepExecutor | None = None,
     **run_kwargs,
 ) -> tuple[int, RunRecord]:
-    """Smallest problem size whose *simulated* efficiency meets the target.
+    """Problem size whose *simulated* efficiency crosses the target.
 
-    Runs the simulator inside a bisection; results are memoized per size.
-    Returns the size and the run record at that size (the iso-efficient
-    observation fed to the scalability function).
-
-    With a parallel executor the bisection's probes are speculatively
-    prefetched in bracket-sized batches (both next midpoints of every
-    bisection step), then the unmodified serial search reads the memo --
-    same answer, less wall-clock.
+    Runs the simulator inside
+    :func:`~repro.core.condition.required_problem_size` at ``rtol = 0``:
+    the answer meets the target and the size just below it misses.
+    Results are memoized per size.  Returns the size and the run record
+    at that size (the iso-efficient observation fed to the scalability
+    function).
     """
     marked = marked_speed_of(cluster)
     exe = resolve_executor(executor)
-    prefetch = BisectionPrefetcher(
-        exe, app, cluster, marked=marked, **run_kwargs
-    )
-    if exe.jobs > 1:
-        prefetch.warm(target_efficiency, lower=lower, max_upper=max_upper)
+    records: dict[int, RunRecord] = {}
+
+    def efficiency(n: int) -> float:
+        if n not in records:
+            records[n] = exe.run_point(
+                SweepPoint.make(app, cluster, n, marked=marked, **run_kwargs)
+            )
+        return records[n].speed_efficiency
+
     n_star = required_problem_size(
-        prefetch.efficiency, target_efficiency, lower=lower,
-        max_upper=max_upper,
+        efficiency, target_efficiency, lower=lower, max_upper=max_upper,
     )
-    return n_star, prefetch.record(n_star)
+    return n_star, records[n_star]
 
 
 def required_size_by_trend(

@@ -5,9 +5,13 @@ harness and CLI render them with :mod:`repro.experiments.report`.  The
 figure-series drivers live in :mod:`repro.experiments.figures`.
 
 The expensive search (required rank at the target speed-efficiency,
-Tables 3-5) is *hybrid*: the section-4.5 analytic model predicts the rank,
-and the simulator bisects inside a bracket around the prediction -- the
-same physics as brute-force search at a fraction of the runs.
+Tables 3-5) is *hybrid*: the section-4.5 analytic model seeds it, and
+simulated runs probe the model's root, the root of the model corrected
+by the measured residual, and interpolated ranks until a rank meeting
+the target has a probed rank at most ``rtol`` below it that misses.
+The simulated ``E_S(N)`` is sawtoothed in ``N`` (on four GE nodes
+``E(834) = 0.30002`` but ``E(836) = 0.29986``), so the answer is a
+certified crossing, not necessarily the smallest such rank.
 """
 
 from __future__ import annotations
@@ -222,49 +226,37 @@ def required_rank_hybrid(
     compute_efficiency: float,
     rtol: float = 0.01,
 ) -> tuple[int, RunRecord]:
-    """Model-guided simulated search for the smallest rank meeting the
-    target speed-efficiency.
+    """Model-seeded simulated search for the rank meeting the target
+    speed-efficiency.
 
-    The analytic prediction provides the bisection bracket; ``rtol``
-    bounds the relative precision of the returned rank (the paper reads
-    ranks like "around 310" off trend lines -- three significant digits).
+    The analytic model's ``E(N)`` seeds
+    :func:`~repro.core.condition.required_problem_size`, and every probe
+    is a simulated run through the active
+    :class:`~repro.experiments.executor.SweepExecutor`.  The returned rank
+    meets the target and a probed rank at most ``rtol`` below it misses
+    (the paper reads ranks like "around 310" off trend lines -- three
+    significant digits).
     """
-    from .executor import BisectionPrefetcher, resolve_executor
+    from .executor import SweepPoint, resolve_executor
 
     marked = marked_speed_of(cluster)
-    n_pred = predict_required_size(model, target)
     exe = resolve_executor()
-    prefetch = BisectionPrefetcher(
-        exe, app, cluster, marked=marked,
-        compute_efficiency=compute_efficiency,
-    )
-    evaluate = prefetch.efficiency
+    records: dict[int, RunRecord] = {}
 
-    # Lower bound 3 keeps the probe valid for every application (the
+    def efficiency(n: int) -> float:
+        if n not in records:
+            records[n] = exe.run_point(SweepPoint.make(
+                app, cluster, n, marked=marked,
+                compute_efficiency=compute_efficiency,
+            ))
+        return records[n].speed_efficiency
+
+    # Lower bound 3 keeps every probe valid for every application (the
     # stencil's smallest meaningful grid is 3x3).
-    floor = 3
-    lower = max(floor, int(0.45 * n_pred))
-    upper = max(lower + 2, int(2.5 * n_pred))
-    if exe.jobs > 1 and target > 0:
-        # Speculatively prefetch the model-guided walk; when that bracket
-        # fails (overshoot or upper below target) also warm the unguided
-        # fallback search the code below will run.
-        prefetch.warm(target, lower=lower, upper=upper, rtol=rtol)
-        if evaluate(lower) >= target or evaluate(upper) < target:
-            prefetch.warm(target, lower=floor, rtol=rtol)
-    try:
-        if evaluate(lower) >= target:
-            # Prediction overshot badly; fall back to an unguided search.
-            n_star = required_problem_size(
-                evaluate, target, lower=floor, rtol=rtol
-            )
-        else:
-            n_star = required_problem_size(
-                evaluate, target, lower=lower, upper=upper, rtol=rtol
-            )
-    except MetricError:
-        n_star = required_problem_size(evaluate, target, lower=floor, rtol=rtol)
-    return n_star, prefetch.record(n_star)
+    n_star = required_problem_size(
+        efficiency, target, lower=3, rtol=rtol, prior=model.efficiency
+    )
+    return n_star, records[n_star]
 
 
 def table3_required_rank(

@@ -1,5 +1,7 @@
 """Unit tests for the isospeed-efficiency condition solvers."""
 
+import math
+
 import pytest
 
 from repro.core.condition import required_problem_size, required_size_continuous
@@ -59,6 +61,86 @@ class TestIntegerSolver:
             required_problem_size(saturating, 0.25, lower=0)
         with pytest.raises(MetricError):
             required_problem_size(saturating, 0.25, rtol=-1.0)
+
+
+def sawtooth(n):
+    """A monotone trend plus a period-2 ripple, like the simulated E_S."""
+    return saturating(n) + (0.002 if n % 2 else -0.002)
+
+
+class Recorded:
+    """An evaluator that remembers every N it was asked for."""
+
+    def __init__(self, efficiency):
+        self.efficiency = efficiency
+        self.calls = []
+
+    def __call__(self, n):
+        self.calls.append(n)
+        return self.efficiency(n)
+
+    def certified(self, n, target, rtol):
+        """``n`` meets the target and a probed ``m`` in
+        ``[ceil(n (1 - rtol)), n)`` misses it."""
+        floor = min(n - 1, math.ceil(n * (1 - rtol)))
+        return self.efficiency(n) >= target and any(
+            floor <= m < n and self.efficiency(m) < target
+            for m in self.calls
+        )
+
+
+def off_by(factor):
+    """A prior whose root sits at ``factor`` times the true one."""
+    return lambda x: saturating(x / factor)
+
+
+class TestCertifiedSearch:
+    @pytest.mark.parametrize("rtol", [0.0, 0.01, 0.05])
+    @pytest.mark.parametrize("target", [0.2, 0.25, 0.3, 0.4])
+    @pytest.mark.parametrize("prior", [None, saturating],
+                             ids=["no-prior", "prior"])
+    def test_sawtooth_answer_is_certified(self, rtol, target, prior):
+        evaluate = Recorded(sawtooth)
+        n = required_problem_size(evaluate, target, lower=3, rtol=rtol,
+                                  prior=prior)
+        assert evaluate.certified(n, target, rtol)
+
+    @pytest.mark.parametrize("factor", [0.2, 5.0])
+    @pytest.mark.parametrize("efficiency", [saturating, sawtooth])
+    def test_far_off_prior_still_certifies(self, factor, efficiency):
+        evaluate = Recorded(efficiency)
+        n = required_problem_size(evaluate, 0.25, lower=3, rtol=0.01,
+                                  prior=off_by(factor))
+        assert evaluate.certified(n, 0.25, 0.01)
+        assert len(set(evaluate.calls)) == len(evaluate.calls)
+
+    @pytest.mark.parametrize("factor", [0.8, 1.2])
+    def test_prior_twenty_percent_off_needs_few_evaluations(self, factor):
+        evaluate = Recorded(saturating)
+        n = required_problem_size(evaluate, 0.25, lower=3, rtol=0.01,
+                                  prior=off_by(factor))
+        assert evaluate.certified(n, 0.25, 0.01)
+        assert abs(n - 100) <= 1
+        assert len(evaluate.calls) <= 5
+
+    @pytest.mark.parametrize("prior", [
+        saturating,  # the prior cannot reach the target either
+        lambda x: 0.9 * x / (x + 100.0),  # the prior promises it can
+    ], ids=["prior-unreachable", "prior-reachable"])
+    def test_unreachable_target_raises(self, prior):
+        with pytest.raises(MetricError):
+            required_problem_size(saturating, 0.6, lower=3, rtol=0.01,
+                                  max_upper=1 << 16, prior=prior)
+
+    def test_prior_meeting_target_at_lower_returns_lower(self):
+        assert required_problem_size(
+            saturating, 0.25, lower=500, rtol=0.01, prior=saturating
+        ) == 500
+
+    def test_exact_with_prior_at_zero_rtol(self):
+        n = required_problem_size(saturating, 0.25, rtol=0.0,
+                                  prior=off_by(1.3))
+        assert n == 100
 
 
 class TestContinuousSolver:

@@ -12,7 +12,6 @@ import json
 import pytest
 
 from repro.experiments.executor import (
-    BisectionPrefetcher,
     RunCache,
     SweepExecutor,
     SweepPoint,
@@ -100,8 +99,17 @@ class TestBitIdentity:
         )
         assert n_par == n_serial
         assert record_signature(rec_par) == record_signature(rec_serial)
-        # Speculation prefetches extra bracket probes but never misleads.
         assert exe.misses >= 1
+
+    def test_required_size_unreachable_target_raises(self, ge2_cluster,
+                                                     tmp_path):
+        from repro.core.types import MetricError
+
+        exe = SweepExecutor(jobs=2, cache=fresh_cache(tmp_path))
+        with pytest.raises(MetricError):
+            required_size_by_simulation(
+                "ge", ge2_cluster, 0.999, max_upper=128, executor=exe
+            )
 
 
 class TestRunCache:
@@ -296,31 +304,6 @@ class TestAmbientExecutor:
         with sweep_execution(exe):
             efficiency_curve("ge", ge2_cluster, SIZES)
         assert exe.cache_stats() == {"hits": 0, "misses": len(SIZES)}
-
-
-class TestBisectionPrefetcher:
-    def test_memo_consumed_by_search(self, ge2_cluster, tmp_path):
-        exe = SweepExecutor(jobs=2, cache=fresh_cache(tmp_path))
-        prefetch = BisectionPrefetcher(exe, "ge", ge2_cluster)
-        prefetch.warm(0.2)
-        warmed = dict(prefetch.memo)
-        from repro.core.condition import required_problem_size
-
-        n_star = required_problem_size(prefetch.efficiency, 0.2)
-        # The serial walk's probes were all speculatively prefetched.
-        assert n_star in warmed
-        serial, _ = required_size_by_simulation("ge", ge2_cluster, 0.2)
-        assert n_star == serial
-
-    def test_unreachable_target_defers_to_serial_error(self, ge2_cluster,
-                                                       tmp_path):
-        from repro.core.types import MetricError
-
-        exe = SweepExecutor(jobs=2, cache=fresh_cache(tmp_path))
-        with pytest.raises(MetricError):
-            required_size_by_simulation(
-                "ge", ge2_cluster, 0.999, max_upper=128, executor=exe
-            )
 
 
 class RecordingProgress:

@@ -1,9 +1,9 @@
 """Persistent warm worker pool: reuse, spec interning, fork/spawn safety.
 
 The load-bearing contracts of the PR-9 fix: one pool survives across
-batches, sweeps and bisection probes (spawned once, reused everywhere);
-the pool is transport only, so serial == warm-pool == cold-pool ==
-cached results bit for bit; spec interning hits on repeated
+batches and sweeps (spawned once, reused everywhere); the pool is
+transport only, so serial == warm-pool == cold-pool == cached results
+bit for bit; spec interning hits on repeated
 cluster/schedule hashes; and spawn attribution survives the ``spawn``
 start method.
 """
@@ -13,7 +13,6 @@ from __future__ import annotations
 import pytest
 
 from repro.experiments.executor import (
-    BisectionPrefetcher,
     RunCache,
     SweepExecutor,
     SweepPoint,
@@ -76,18 +75,6 @@ class TestPoolReuse:
         ).run_points(points)]
 
         assert serial == first == second == cached
-
-    def test_prefetcher_probe_batches_reuse_the_pool(
-        self, ge2_cluster, tmp_path
-    ):
-        """Bracket doubling + bisection issues many probe batches; the
-        whole search must pay at most one pool spawn."""
-        exe = SweepExecutor(jobs=2, cache=fresh_cache(tmp_path))
-        prefetcher = BisectionPrefetcher(exe, "ge", ge2_cluster)
-        prefetcher.warm(0.45, lower=2)
-        assert len(prefetcher.memo) > 2  # several batches actually ran
-        assert exe.pool is not None
-        assert exe.pool.spawns <= 1
 
     def test_faulted_sweep_through_warm_pool_is_identical(
         self, ge2_cluster, tmp_path

@@ -4,6 +4,7 @@ the full paper-scale run lives in the benchmark harness)."""
 import pytest
 
 from repro.experiments import tables
+from repro.experiments.executor import SweepExecutor
 from repro.experiments.tables import (
     GE_TARGET_EFFICIENCY,
     MM_TARGET_EFFICIENCY,
@@ -27,8 +28,24 @@ def params():
 
 
 @pytest.fixture(scope="module")
-def ge_rows(params):
-    return table3_required_rank(node_counts=SMALL, params=params)
+def ge_search(params):
+    """The 2/4-node GE search, with the ranks every probe ran at."""
+    probes = []
+    run_points = SweepExecutor.run_points
+
+    def counted(self, points):
+        probes.extend(point.n for point in points)
+        return run_points(self, points)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(SweepExecutor, "run_points", counted)
+        rows = table3_required_rank(node_counts=SMALL, params=params)
+    return rows, probes
+
+
+@pytest.fixture(scope="module")
+def ge_rows(ge_search):
+    return ge_search[0]
 
 
 @pytest.fixture(scope="module")
@@ -92,6 +109,15 @@ class TestTable3And4:
 
     def test_nranks_column(self, ge_rows):
         assert [r.nranks for r in ge_rows] == [n + 1 for n in SMALL]
+
+    def test_search_probe_budget(self, ge_search):
+        """The model-seeded search certifies both answers in a handful of
+        simulated runs, within 1% of the reference ranks 344 and 843
+        (``perfbench/reference.json``)."""
+        rows, probes = ge_search
+        assert len(probes) <= 8
+        for row, pinned in zip(rows, (344, 843)):
+            assert row.rank_n == pytest.approx(pinned, rel=0.01)
 
 
 class TestTable5:
