@@ -65,7 +65,18 @@ from .workload import (
     mm_workload,
 )
 
+#: The compute-efficiency factor ``f`` each application's runner applies
+#: to the marked speed, by registry name (Theorem 1's ideal-compute term
+#: needs it back).
+APP_COMPUTE_EFFICIENCY = {
+    "ge": GE_COMPUTE_EFFICIENCY,
+    "mm": MM_COMPUTE_EFFICIENCY,
+    "fft": FFT_COMPUTE_EFFICIENCY,
+    "stencil": STENCIL_COMPUTE_EFFICIENCY,
+}
+
 __all__ = [
+    "APP_COMPUTE_EFFICIENCY",
     "GE_COMPUTE_EFFICIENCY",
     "GEOptions",
     "FFT_COMPUTE_EFFICIENCY",

@@ -20,10 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Sequence
 
-from ..apps.fft import FFT_COMPUTE_EFFICIENCY
-from ..apps.gaussian import GE_COMPUTE_EFFICIENCY
-from ..apps.matmul import MM_COMPUTE_EFFICIENCY
-from ..apps.stencil import STENCIL_COMPUTE_EFFICIENCY
+from ..apps import APP_COMPUTE_EFFICIENCY
 from ..core.marked_speed import SystemMarkedSpeed
 from ..core.types import MetricError
 from ..experiments.runner import (
@@ -45,16 +42,6 @@ from .analysis import (
 from .injection import FaultInjector, faulty_program_factory
 from .network import FaultyNetworkModel
 from .schedule import FaultSchedule, uniform_slowdown
-
-#: The compute-efficiency factor each runner applies to the marked speed
-#: (needed to recover Theorem 1's ideal-compute term for degraded ψ).
-APP_COMPUTE_EFFICIENCY = {
-    "ge": GE_COMPUTE_EFFICIENCY,
-    "mm": MM_COMPUTE_EFFICIENCY,
-    "fft": FFT_COMPUTE_EFFICIENCY,
-    "stencil": STENCIL_COMPUTE_EFFICIENCY,
-}
-
 
 def faulty_mpi_run(
     nranks: int,

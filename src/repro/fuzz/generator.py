@@ -20,6 +20,7 @@ import random
 from dataclasses import dataclass, field
 from typing import Any
 
+from ..apps import APP_COMPUTE_EFFICIENCY
 from ..apps.fft import fft_workload
 from ..apps.stencil import stencil_workload
 from ..apps.workload import ge_workload, mm_workload
@@ -28,7 +29,6 @@ from ..experiments.runner import (
     marked_speed_of,
     resolve_app,
 )
-from ..faults.run import APP_COMPUTE_EFFICIENCY
 from ..faults.schedule import random_schedule
 from .errors import ScenarioError
 from .scenario import (

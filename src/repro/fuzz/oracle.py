@@ -29,6 +29,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Sequence
 
+from ..apps import APP_COMPUTE_EFFICIENCY
 from ..experiments.executor import (
     RunCache,
     SweepExecutor,
@@ -42,7 +43,6 @@ from ..faults.analysis import (
 )
 from ..faults.injection import FaultInjector
 from ..faults.run import (
-    APP_COMPUTE_EFFICIENCY,
     FaultyRun,
     faulty_mpi_run,
     run_app_under_faults,

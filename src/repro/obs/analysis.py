@@ -1,8 +1,8 @@
 """Post-run analyzers: utilization, imbalance, overhead terms, critical path.
 
 These operate on the engine's raw outputs (:class:`~repro.sim.trace.RankStats`
-and :class:`~repro.sim.trace.TraceRecord` lists) and map them onto the
-quantities the paper reasons about:
+and the raw record tuples a :class:`~repro.sim.trace.Tracer` stores) and
+map them onto the quantities the paper reasons about:
 
 * :func:`rank_utilization` — per-rank compute / send / receive-wait / idle
   decomposition of the makespan (the terms sum to the makespan exactly).
@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 from typing import Sequence
 
 from ..core.types import MetricError
-from ..sim.trace import RankStats, TraceRecord, Tracer
+from ..sim.trace import RankStats, TraceRecord, Tracer, render_record
 
 # ---------------------------------------------------------------------------
 # Per-rank utilization
@@ -244,16 +244,6 @@ class CriticalPath:
         return sorted(self.time_by_rank, key=self.time_by_rank.get, reverse=True)
 
 
-def _parse_detail(detail: str) -> dict[str, str]:
-    """Parse the engine's ``key=value`` trace detail strings."""
-    out: dict[str, str] = {}
-    for part in detail.split():
-        if "=" in part:
-            key, _, value = part.partition("=")
-            out[key] = value
-    return out
-
-
 def critical_path(tracer: Tracer) -> CriticalPath:
     """Walk the longest compute/send/recv dependency chain of a traced run.
 
@@ -263,7 +253,9 @@ def critical_path(tracer: Tracer) -> CriticalPath:
     :class:`MessageEdge` — while every other record depends on its local
     predecessor.  Sends are matched to receives in FIFO order per
     ``(src, dst, tag)`` channel, which mirrors the engine's deterministic
-    smallest-arrival matching for the FIFO network models.
+    smallest-arrival matching for the FIFO network models.  Peers, tags
+    and byte counts come straight from the tracer's raw record tuples, so
+    edge sizes are exact.
 
     Requires a tracer that recorded the whole run; on a truncated trace the
     walk stops where the chain breaks and ``complete`` is False.
@@ -271,7 +263,7 @@ def critical_path(tracer: Tracer) -> CriticalPath:
     # "log" and "fault" records are zero-span annotations (the latter are
     # appended by the fault injector, possibly with rank -1 for network
     # events) — they are not engine ops and must not join the dependency walk.
-    timeline = [r for r in tracer.records if r.kind not in ("log", "fault")]
+    timeline = [r for r in tracer.raw if r[1] not in ("log", "fault")]
     if not timeline:
         return CriticalPath(records=[], edges=[], end=0.0,
                             complete=not tracer.dropped)
@@ -280,25 +272,25 @@ def critical_path(tracer: Tracer) -> CriticalPath:
     by_rank: dict[int, list[int]] = {}
     position: list[int] = [0] * len(timeline)
     for idx, rec in enumerate(timeline):
-        lst = by_rank.setdefault(rec.rank, [])
+        lst = by_rank.setdefault(rec[0], [])
         position[idx] = len(lst)
         lst.append(idx)
 
-    # FIFO matching of receives to their sends/multicasts.
+    # FIFO matching of receives to their sends/multicasts.  Raw layouts:
+    # send (.., dst, tag, nbytes), multicast (.., ndsts, tag, nbytes),
+    # recv (.., src, tag, nbytes).
     send_queues: dict[tuple[int, int, int], list[int]] = {}
     mcast_queues: dict[tuple[int, int], list[list]] = {}  # [idx, remaining]
     matched_send: dict[int, int] = {}  # recv idx -> send/multicast idx
     for idx, rec in enumerate(timeline):
-        info = _parse_detail(rec.detail)
-        if rec.kind == "send":
-            key = (rec.rank, int(info["dst"]), int(info["tag"]))
-            send_queues.setdefault(key, []).append(idx)
-        elif rec.kind == "multicast":
-            key = (rec.rank, int(info["tag"]))
-            mcast_queues.setdefault(key, []).append([idx, int(info["dsts"])])
-        elif rec.kind == "recv":
-            src, tag = int(info["src"]), int(info["tag"])
-            queue = send_queues.get((src, rec.rank, tag))
+        kind = rec[1]
+        if kind == "send":
+            send_queues.setdefault((rec[0], rec[4], rec[5]), []).append(idx)
+        elif kind == "multicast":
+            mcast_queues.setdefault((rec[0], rec[5]), []).append([idx, rec[4]])
+        elif kind == "recv":
+            src, tag = rec[4], rec[5]
+            queue = send_queues.get((src, rec[0], tag))
             if queue:
                 matched_send[idx] = queue.pop(0)
                 continue
@@ -311,8 +303,8 @@ def critical_path(tracer: Tracer) -> CriticalPath:
 
     # Backward walk from the record that ends last (ties broken towards the
     # latest-recorded event, i.e. the op that actually closed the run).
-    current = max(range(len(timeline)), key=lambda i: (timeline[i].end, i))
-    end = timeline[current].end
+    current = max(range(len(timeline)), key=lambda i: (timeline[i][3], i))
+    end = timeline[current][3]
     path: list[int] = []
     edges: list[MessageEdge] = []
     time_by_kind: dict[str, float] = {}
@@ -326,21 +318,21 @@ def critical_path(tracer: Tracer) -> CriticalPath:
             break
         visited.add(current)
         rec = timeline[current]
+        rank, kind, start, rec_end = rec[:4]
         arrival_bound = (
-            rec.kind == "recv"
-            and rec.end > rec.start
+            kind == "recv"
+            and rec_end > start
             and current in matched_send
         )
         if arrival_bound:
             src = timeline[matched_send[current]]
-            info = _parse_detail(rec.detail)
             edge = MessageEdge(
-                src_rank=src.rank,
-                dst_rank=rec.rank,
-                tag=int(info["tag"]),
-                nbytes=float(info.get("nbytes", 0.0)),
-                send_end=src.end,
-                arrival=rec.end,
+                src_rank=src[0],
+                dst_rank=rank,
+                tag=rec[5],
+                nbytes=float(rec[6]),
+                send_end=src[3],
+                arrival=rec_end,
             )
             edges.append(edge)
             time_by_kind["message-edge"] = (
@@ -350,20 +342,20 @@ def critical_path(tracer: Tracer) -> CriticalPath:
             continue
         # The record itself lies on the path.
         path.append(current)
-        span = rec.end - rec.start
-        time_by_kind[rec.kind] = time_by_kind.get(rec.kind, 0.0) + span
-        time_by_rank[rec.rank] = time_by_rank.get(rec.rank, 0.0) + span
+        span = rec_end - start
+        time_by_kind[kind] = time_by_kind.get(kind, 0.0) + span
+        time_by_rank[rank] = time_by_rank.get(rank, 0.0) + span
         pos = position[current]
         if pos == 0:
             # First record of this rank; complete iff it starts at time 0.
-            complete = complete and rec.start == 0.0 and not tracer.dropped
+            complete = complete and start == 0.0 and not tracer.dropped
             break
-        current = by_rank[rec.rank][pos - 1]
+        current = by_rank[rank][pos - 1]
 
     path.reverse()
     edges.reverse()
     return CriticalPath(
-        records=[timeline[i] for i in path],
+        records=[render_record(timeline[i]) for i in path],
         edges=edges,
         end=end,
         complete=complete,

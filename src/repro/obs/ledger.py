@@ -292,7 +292,9 @@ class RunLedger:
         such records conventionally use ``source="faults"``.
         """
         if compute_efficiency is None:
-            compute_efficiency = _app_compute_efficiency(app)
+            from ..apps import APP_COMPUTE_EFFICIENCY
+
+            compute_efficiency = APP_COMPUTE_EFFICIENCY.get(app, 1.0)
         metrics = _run_metrics(record, compute_efficiency)
         if record.run.stats or record.run.rank_summary is None:
             summary = summarize_rank_stats(
@@ -357,7 +359,7 @@ class RunLedger:
             "stale_pops": float(run.stale_pops),
             "stale_pop_ratio": run.stale_pop_ratio,
             "critical_path_length": report.path.length,
-            "trace_records": float(len(report.tracer.records)),
+            "trace_records": float(len(report.tracer.raw)),
             "trace_dropped": float(report.tracer.dropped),
         }
         summary = summarize_rank_stats(run.stats, run.makespan)
@@ -538,13 +540,3 @@ def load_record_file(path: str | Path) -> dict[str, Any]:
         f"{path} is neither a {RUN_RECORD_KIND!r} document nor a BENCH "
         "payload"
     )
-
-
-def _app_compute_efficiency(app: str) -> float:
-    """Best-effort compute-efficiency lookup (1.0 for unknown apps)."""
-    try:
-        from .profiler import app_compute_efficiency
-
-        return app_compute_efficiency(app)
-    except KeyError:
-        return 1.0

@@ -56,26 +56,6 @@ class ProfileReport:
     rank_summary: dict | None = None
 
 
-def app_compute_efficiency(app: str) -> float:
-    """The achievable-fraction ``f`` each runner applies, by app name.
-
-    Raises ``KeyError`` for apps outside the built-in registry.
-    """
-    from ..apps import (
-        FFT_COMPUTE_EFFICIENCY,
-        GE_COMPUTE_EFFICIENCY,
-        MM_COMPUTE_EFFICIENCY,
-        STENCIL_COMPUTE_EFFICIENCY,
-    )
-
-    return {
-        "ge": GE_COMPUTE_EFFICIENCY,
-        "mm": MM_COMPUTE_EFFICIENCY,
-        "stencil": STENCIL_COMPUTE_EFFICIENCY,
-        "fft": FFT_COMPUTE_EFFICIENCY,
-    }[app]
-
-
 def build_report(
     app: str,
     record: "RunRecord",
@@ -113,7 +93,7 @@ def build_report(
         f"{m.speed_efficiency:.4f}",
         f"events = {run.events}, undelivered messages = "
         f"{run.undelivered_messages}, trace records = "
-        f"{len(tracer.records)} (dropped {tracer.dropped})",
+        f"{len(tracer.raw)} (dropped {tracer.dropped})",
         f"engine: {run.events_per_second:,.0f} events/s over "
         f"{run.wall_seconds:.3f} s wall, {run.heap_pushes} heap pushes, "
         f"stale-pop ratio {run.stale_pop_ratio:.3f}",
@@ -260,6 +240,7 @@ def profile_app(
     ``marked=``, ...).  When ``out_dir`` is given the three artifacts are
     written there (see module docstring).
     """
+    from ..apps import APP_COMPUTE_EFFICIENCY
     from ..experiments.runner import resolve_app, run_app
 
     app = resolve_app(app)
@@ -273,7 +254,7 @@ def profile_app(
         tracer,
         metrics=metrics,
         compute_efficiency=run_kwargs.get(
-            "compute_efficiency", app_compute_efficiency(app)
+            "compute_efficiency", APP_COMPUTE_EFFICIENCY[app]
         ),
         cluster_name=cluster.name,
     )

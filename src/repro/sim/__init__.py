@@ -11,9 +11,12 @@ The engine itself is layered: a :class:`~repro.sim.scheduler.Scheduler`
 (time-ordered run queue), a :class:`~repro.sim.mailbox.MailboxSet`
 (per-``(src, tag)`` indexed message matching), a
 :class:`~repro.sim.dispatch.DispatchTable` (op-type handler registry and
-the extension point for new primitives), and an
-:class:`~repro.sim.instrument.Instrumentation` seam that carries tracing
-and metrics out of the hot path.
+the extension point for new primitives), and one record stream for
+observability: every handler emits the raw tuple ``(rank, kind, start,
+end, *extras)`` through a single per-run hook that feeds the attached
+:class:`~repro.sim.trace.Tracer`, metrics sink and
+:class:`~repro.sim.flight.FlightRecorder`.  Detail strings are rendered
+in one place, :func:`~repro.sim.trace.render_record`, and only when read.
 """
 
 from .dispatch import (
@@ -33,7 +36,6 @@ from .errors import (
     SimulationError,
 )
 from .events import ANY_SOURCE, ANY_TAG, Compute, Log, Message, Multicast, Now, Recv, Send, SimOp
-from .instrument import Instrumentation
 from .mailbox import MailboxSet
 from .scheduler import Scheduler
 from .trace import RankStats, RankStatsArray, Tracer, TraceRecord
@@ -49,7 +51,6 @@ __all__ = [
     "FlightRecorder",
     "Handler",
     "HandlerFactory",
-    "Instrumentation",
     "InvalidOperationError",
     "Log",
     "MailboxSet",

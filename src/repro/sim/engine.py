@@ -19,8 +19,14 @@ architecture"):
 * :class:`~repro.sim.dispatch.DispatchTable` — the ``{op type: handler}``
   table the hot loop resolves ``type(op)`` through.  The built-in
   primitives below register into the default table exactly like an
-  extension would; observability rides behind the single
-  :class:`~repro.sim.instrument.Instrumentation` seam.
+  extension would.
+
+Observability is one record stream: each handler makes at most one
+``record((rank, kind, start, end, *extras))`` call per event (the tuple
+layout is documented on :class:`~repro.sim.trace.Tracer`).  ``Engine.run``
+binds ``record`` once per run: ``None`` when no sink is attached, the
+flight ring's bound ``deque.append`` (or the tracer's ``append``) when one
+is, and a small fan-out closure otherwise.
 
 Timing semantics:
 
@@ -71,7 +77,6 @@ from .events import (
     Recv,
     Send,
 )
-from .instrument import Instrumentation
 from .mailbox import MailboxSet
 from .scheduler import Scheduler
 from .trace import RankStats, RankStatsArray, Tracer
@@ -180,13 +185,15 @@ class RunContext:
     ``complete_recv(proc, msg, posted_at)`` accounts a matched receive and
     re-queues the process; ``deliver(msg)`` routes a just-arrived message
     to an eligible waiting receive or into the mailbox index, enforcing
-    the timed-receive deadline rule in both cases.
+    the timed-receive deadline rule in both cases.  ``record`` is the
+    run's record hook (``None`` when no sink listens): a handler passes
+    it one raw ``(rank, kind, start, end, *extras)`` tuple per event.
     """
 
     __slots__ = ("engine", "nranks", "flops_per_second", "network",
                  "transfer", "native_multicast", "procs", "stats",
-                 "scheduler", "mailboxes", "instr", "flight_append",
-                 "complete_recv", "deliver")
+                 "scheduler", "mailboxes", "record", "complete_recv",
+                 "deliver")
 
     def __init__(
         self,
@@ -195,8 +202,7 @@ class RunContext:
         stats: RankStatsArray,
         scheduler: Scheduler,
         mailboxes: MailboxSet,
-        instr: Instrumentation | None,
-        flight: Any = None,
+        record: Callable[[tuple], None] | None,
     ):
         self.engine = engine
         self.nranks = engine.nranks
@@ -211,16 +217,11 @@ class RunContext:
         self.stats = stats
         self.scheduler = scheduler
         self.mailboxes = mailboxes
-        self.instr = instr
-        # The flight recorder's hot lane: a prebound C-level deque
-        # append (or None).  A seam method call per event would blow the
-        # <5% always-on budget; a bound append does not (see
-        # repro.sim.flight).
-        self.flight_append = flight.append if flight is not None else None
+        # The per-run record hook (None when no sink listens).
+        self.record = record
 
         push = scheduler.push_resume
         deposit = mailboxes.deposit
-        frec = self.flight_append
         # Stats columns, bound once per run: handler closures accumulate
         # into flat arrays instead of per-rank objects.
         recv_wait_time = stats.recv_wait_time
@@ -237,12 +238,9 @@ class RunContext:
             recv_wait_time[rank] += t - posted_at
             bytes_received[rank] += msg.nbytes
             messages_received[rank] += 1
-            if frec is not None:
-                frec((proc.rank, "recv", posted_at, t, msg.src, msg.tag,
-                      msg.nbytes))
-            if instr is not None:
-                instr.recv(proc.rank, posted_at, t, msg.src, msg.tag,
-                           msg.nbytes)
+            if record is not None:
+                record((rank, "recv", posted_at, t, msg.src, msg.tag,
+                        msg.nbytes))
             proc.waiting = None
             proc.deadline_seq = None  # cancel any pending receive timeout
             proc.pending = msg
@@ -287,12 +285,11 @@ class Engine:
     metrics:
         Optional metrics sink (e.g. :class:`repro.obs.MetricsRegistry`).
         Duck-typed: the engine calls ``metrics.record_op(rank, kind, start,
-        end, nbytes=..., flops=...)`` once per traced primitive and
-        ``metrics.record_engine(events=..., wall_seconds=...,
-        heap_pushes=..., stale_pops=..., makespan=...)`` once per run.
-        Both sinks are reached through the per-run
-        :class:`~repro.sim.instrument.Instrumentation` seam; with neither
-        attached the hot loop pays a single ``None`` test per primitive.
+        end, nbytes=..., flops=...)`` once per traced primitive (adapted
+        from the raw record tuple) and ``metrics.record_engine(events=...,
+        wall_seconds=..., heap_pushes=..., stale_pops=..., makespan=...)``
+        once per run.  With no sink attached at all the hot loop pays a
+        single ``None`` test per primitive.
     log:
         Optional structured logger (e.g. :class:`repro.obs.StructLogger`).
         Duck-typed: the engine calls ``log.event(name, **fields)`` at run
@@ -381,12 +378,10 @@ class Engine:
         stats = RankStatsArray(self.nranks)
         scheduler = Scheduler()
         mailboxes = MailboxSet(self.nranks)
-        instr = Instrumentation.build(self.tracer, self.metrics)
         flight = self.flight
-        ctx = RunContext(self, procs, stats, scheduler, mailboxes, instr,
-                         flight)
+        record = self._record_hook()
+        ctx = RunContext(self, procs, stats, scheduler, mailboxes, record)
         handlers = self.dispatch.build(ctx)
-        frec = ctx.flight_append
 
         live = self.nranks
         events = 0
@@ -458,12 +453,9 @@ class Engine:
                     posted_at = proc.block_start
                     proc.time = entry_time
                     recv_wait_col[rank] += entry_time - posted_at
-                    if frec is not None:
-                        frec((rank, "recv-timeout", posted_at, entry_time,
-                              op.src, op.tag, op.timeout))
-                    if instr is not None:
-                        instr.recv_timeout(rank, posted_at, entry_time,
-                                           op.src, op.tag, op.timeout)
+                    if record is not None:
+                        record((rank, "recv-timeout", posted_at, entry_time,
+                                op.src, op.tag, op.timeout))
                     proc.waiting = None
                     proc.deadline_seq = None
                     proc.pending = None
@@ -496,8 +488,8 @@ class Engine:
             stale_pops=stale,
             heap_pops=pops,
         )
-        if instr is not None:
-            instr.run_complete(
+        if self.metrics is not None:
+            self.metrics.record_engine(
                 events=events,
                 wall_seconds=wall,
                 heap_pushes=scheduler.pushes,
@@ -549,6 +541,28 @@ class Engine:
             )
         return result
 
+    def _record_hook(self) -> Callable[[tuple], None] | None:
+        """The one callable every handler feeds its raw record tuples to."""
+        sinks = []
+        if self.tracer is not None:
+            sinks.append(self.tracer.append)
+        if self.metrics is not None:
+            sinks.append(_metrics_sink(self.metrics))
+        if self.flight is not None:
+            # A bound C-level deque append: cheap enough to keep the
+            # flight recorder under its <5% always-on budget.
+            sinks.append(self.flight.append)
+        if not sinks:
+            return None
+        if len(sinks) == 1:
+            return sinks[0]
+
+        def fan_out(rec: tuple) -> None:
+            for sink in sinks:
+                sink(rec)
+
+        return fan_out
+
     def _reject_op(self, rank: int, op: Any) -> None:
         """Raise the ProtocolError for an op type with no handler."""
         if isinstance(op, self.dispatch.registered()):
@@ -559,6 +573,24 @@ class Engine:
         raise ProtocolError(
             f"rank {rank} yielded unsupported object {op!r}"
         ) from None
+
+
+def _metrics_sink(metrics: Any) -> Callable[[tuple], None]:
+    """Adapt a duck-typed ``record_op`` metrics sink to raw record tuples."""
+    record_op = metrics.record_op
+
+    def sink(rec: tuple) -> None:
+        kind = rec[1]
+        if kind == "compute":
+            flops = rec[4]
+            record_op(rec[0], kind, rec[2], rec[3],
+                      flops=flops if flops is not None else 0.0)
+        elif kind in ("send", "recv", "multicast"):
+            record_op(rec[0], kind, rec[2], rec[3], nbytes=rec[6])
+        else:
+            record_op(rec[0], kind, rec[2], rec[3])
+
+    return sink
 
 
 # ----------------------------------------------------------------------
@@ -575,8 +607,7 @@ def _send_factory(ctx: RunContext):
     bytes_sent = stats.bytes_sent
     messages_sent = stats.messages_sent
     messages_lost = stats.messages_lost
-    instr = ctx.instr
-    frec = ctx.flight_append
+    record = ctx.record
     procs = ctx.procs
     complete_recv = ctx.complete_recv
     deposit = ctx.mailboxes.deposit
@@ -604,10 +635,8 @@ def _send_factory(ctx: RunContext):
         send_time[rank] += sender_done - start
         bytes_sent[rank] += nbytes
         messages_sent[rank] += 1
-        if frec is not None:
-            frec((rank, "send", start, sender_done, dst, tag, nbytes))
-        if instr is not None:
-            instr.send(rank, start, sender_done, dst, tag, nbytes)
+        if record is not None:
+            record((rank, "send", start, sender_done, dst, tag, nbytes))
         if arrival == _INF:
             # Lost in transit: sender paid, nothing is delivered.
             messages_lost[rank] += 1
@@ -668,8 +697,7 @@ def _compute_factory(ctx: RunContext):
     stats = ctx.stats
     flops_col = stats.flops
     compute_time = stats.compute_time
-    instr = ctx.instr
-    frec = ctx.flight_append
+    record = ctx.record
     push = ctx.scheduler.push_resume
 
     def handle_compute(proc: _Proc, op: Compute) -> None:
@@ -686,10 +714,8 @@ def _compute_factory(ctx: RunContext):
         end = start + duration
         proc.time = end
         compute_time[rank] += duration
-        if frec is not None:
-            frec((rank, "compute", start, end, flops))
-        if instr is not None:
-            instr.compute(rank, start, end, flops)
+        if record is not None:
+            record((rank, "compute", start, end, flops))
         push(proc)
 
     return handle_compute
@@ -705,8 +731,7 @@ def _multicast_factory(ctx: RunContext):
     bytes_sent = stats.bytes_sent
     messages_sent = stats.messages_sent
     messages_lost = stats.messages_lost
-    instr = ctx.instr
-    frec = ctx.flight_append
+    record = ctx.record
     deliver = ctx.deliver
     new_seq = ctx.mailboxes.new_seq
     push = ctx.scheduler.push_resume
@@ -765,12 +790,9 @@ def _multicast_factory(ctx: RunContext):
         bytes_sent[rank] += nbytes  # one physical transmission
         messages_sent[rank] += 1
         messages_lost[rank] += lost
-        if frec is not None:
-            frec((rank, "multicast", start, sender_done, len(remote),
-                  op.tag, nbytes))
-        if instr is not None:
-            instr.multicast(rank, start, sender_done, len(remote), op.tag,
-                            nbytes)
+        if record is not None:
+            record((rank, "multicast", start, sender_done, len(remote),
+                    op.tag, nbytes))
         for dst, arrival in deliveries:
             deliver(Message(
                 src=rank, dst=dst, tag=op.tag, nbytes=nbytes,
@@ -794,15 +816,12 @@ def _now_factory(ctx: RunContext):
 
 @register_handler(Log)
 def _log_factory(ctx: RunContext):
-    instr = ctx.instr
-    frec = ctx.flight_append
+    record = ctx.record
     push = ctx.scheduler.push_resume
 
     def handle_log(proc: _Proc, op: Log) -> None:
-        if frec is not None:
-            frec((proc.rank, "log", proc.time, proc.time, op.message))
-        if instr is not None:
-            instr.log(proc.rank, proc.time, op.message)
+        if record is not None:
+            record((proc.rank, "log", proc.time, proc.time, op.message))
         push(proc)
 
     return handle_log

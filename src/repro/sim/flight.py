@@ -8,13 +8,14 @@ interesting records are the ones immediately *before* the failure.
 (``collections.deque(maxlen=K)``) that always holds the most recent K
 records and costs O(K) memory regardless of run length.
 
-Recording rides a dedicated fast lane rather than the
-:class:`~repro.sim.instrument.Instrumentation` seam: the engine's
-handlers call the prebound ``deque.append`` directly with a raw tuple
-``(rank, kind, start, end, *extras)``.  A seam method call costs ~200 ns
-per event on this interpreter — over the <5 % always-on budget — while
-the bound C-level append costs ~40 ns.  Detail strings are only
-formatted at dump time, never on the hot path.
+The ring stores the engine's record stream as it is emitted: raw tuples
+``(rank, kind, start, end, *extras)`` (layout on
+:class:`~repro.sim.trace.Tracer`).  When the recorder is the only sink,
+the engine's record hook *is* the ring's prebound ``deque.append``: a
+Python-level call per event costs ~200 ns — over the <5 % always-on
+budget — while the bound C-level append costs ~40 ns.  Detail strings
+are only formatted at dump time, by the same
+:func:`~repro.sim.trace.render_record` the tracer uses.
 
 The dominant recording cost is not the append but the *ring's cache
 footprint*: every append at steady state evicts the record inserted K
@@ -48,9 +49,11 @@ import json
 import os
 import time
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Any, Sequence
+
+from .trace import render_record
 
 #: Default ring capacity: enough context to see the collective or
 #: protocol exchange leading into a failure, small enough that the ring
@@ -137,7 +140,7 @@ class FlightRecorder:
 
     def render(self) -> list[dict[str, Any]]:
         """Retained records as dicts with lazily formatted detail."""
-        return [_render_record(rec) for rec in self._buf]
+        return [asdict(render_record(rec)) for rec in self._buf]
 
     def clear(self) -> None:
         self._buf.clear()
@@ -240,8 +243,11 @@ class FlightRecorder:
         self, reason: dict[str, Any], context: dict[str, Any] | None = None
     ) -> Path:
         """Write the ring tail as a Chrome-trace-compatible envelope."""
+        # Deferred import: repro.obs depends on repro.sim at module load.
+        from ..obs.chrome_trace import flight_trace_events
+
         self.last_reason = reason
-        records = self.render()
+        records = [render_record(rec) for rec in self._buf]
         payload = {
             "kind": "flight-dump",
             "version": 1,
@@ -252,8 +258,8 @@ class FlightRecorder:
             "engine": dict(context or {}),
             "capacity": self.capacity,
             "retained": len(records),
-            "records": records,
-            "traceEvents": _trace_events(records, reason),
+            "records": [asdict(rec) for rec in records],
+            "traceEvents": flight_trace_events(records, reason),
         }
         out_dir = self.out_dir if self.out_dir is not None else flight_dir()
         out_dir.mkdir(parents=True, exist_ok=True)
@@ -271,102 +277,3 @@ class FlightRecorder:
         self.dumps.append(path)
         return path
 
-
-# -- record rendering (dump time only, never on the hot path) ------------
-
-def _render_record(rec: tuple) -> dict[str, Any]:
-    rank, kind, start, end = rec[0], rec[1], rec[2], rec[3]
-    extras = rec[4:]
-    return {
-        "rank": rank,
-        "kind": kind,
-        "start": start,
-        "end": end,
-        "detail": _detail(kind, extras),
-    }
-
-
-def _detail(kind: str, extras: tuple) -> str:
-    # Mirrors the detail strings Instrumentation feeds the Tracer, so a
-    # flight dump reads like the tail of a full trace.
-    try:
-        if kind == "compute":
-            (flops,) = extras
-            return f"flops={flops:g}" if flops is not None else ""
-        if kind == "send":
-            dst, tag, nbytes = extras
-            return f"dst={dst} tag={tag} nbytes={nbytes:g}"
-        if kind == "multicast":
-            ndsts, tag, nbytes = extras
-            return f"dsts={ndsts} tag={tag} nbytes={nbytes:g}"
-        if kind == "recv":
-            src, tag, nbytes = extras
-            return f"src={src} tag={tag} nbytes={nbytes:g}"
-        if kind == "recv-timeout":
-            src, tag, timeout = extras
-            return f"src={src} tag={tag} timeout={timeout:g}"
-        if kind == "log":
-            (message,) = extras
-            return str(message)
-    except (TypeError, ValueError):
-        pass
-    return " ".join(str(x) for x in extras)
-
-
-def _trace_events(
-    records: list[dict[str, Any]], reason: dict[str, Any]
-) -> list[dict[str, Any]]:
-    """Chrome trace-event array for the dump (microsecond timebase)."""
-    events: list[dict[str, Any]] = [
-        {
-            "name": "process_name",
-            "ph": "M",
-            "pid": 0,
-            "tid": 0,
-            "args": {"name": "flight recorder"},
-        },
-        {
-            "name": "flight_dump",
-            "ph": "i",
-            "s": "g",
-            "ts": 0,
-            "pid": 0,
-            "tid": 0,
-            "args": dict(reason),
-        },
-    ]
-    seen_ranks: set[int] = set()
-    for rec in records:
-        rank = rec["rank"]
-        if rank not in seen_ranks:
-            seen_ranks.add(rank)
-            events.append({
-                "name": "thread_name",
-                "ph": "M",
-                "pid": 0,
-                "tid": rank,
-                "args": {"name": f"rank {rank}"},
-            })
-        ts = rec["start"] * 1e6
-        if rec["kind"] == "log":
-            events.append({
-                "name": rec["detail"] or "log",
-                "cat": "flight",
-                "ph": "i",
-                "s": "t",
-                "ts": ts,
-                "pid": 0,
-                "tid": rank,
-            })
-        else:
-            events.append({
-                "name": rec["kind"],
-                "cat": "flight",
-                "ph": "X",
-                "ts": ts,
-                "dur": (rec["end"] - rec["start"]) * 1e6,
-                "pid": 0,
-                "tid": rank,
-                "args": {"detail": rec["detail"]} if rec["detail"] else {},
-            })
-    return events

@@ -4,6 +4,8 @@ overhead decomposition, and the critical-path walk."""
 import pytest
 
 from repro.core.types import MetricError
+from repro.experiments.runner import run_app
+from repro.machine.sunwulf import mm_configuration
 from repro.network.model import UniformCostNetwork, ZeroCostNetwork
 from repro.obs.analysis import (
     critical_path,
@@ -186,6 +188,20 @@ class TestCriticalPath:
         assert path.complete
         assert path.length == pytest.approx(result.makespan, abs=1e-12)
         assert any(e.src_rank == 0 for e in path.edges)
+
+    def test_edge_nbytes_are_exact_message_sizes(self):
+        # The MM operand broadcast is 8 * 701**2 = 3931208 bytes: seven
+        # significant digits, which a "{:g}"-formatted detail string
+        # would round to 3931210.
+        tracer = Tracer()
+        run_app("mm", mm_configuration(4), 701, tracer=tracer)
+        path = critical_path(tracer)
+        first = path.edges[0]
+        assert (first.src_rank, first.dst_rank) == (0, 1)
+        assert first.nbytes == 8 * 701 ** 2
+        sent = {rec[6] for rec in tracer.raw
+                if rec[1] in ("send", "multicast")}
+        assert path.edges and all(e.nbytes in sent for e in path.edges)
 
     def test_truncated_trace_reports_incomplete(self):
         tracer = Tracer(limit=2)
