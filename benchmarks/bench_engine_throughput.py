@@ -12,6 +12,7 @@ trajectory, committed), and the run ledger (``repro history`` /
 
 import gc
 import json
+import statistics
 import time
 from pathlib import Path
 
@@ -38,9 +39,10 @@ SWEEP_REPEATS = 3
 
 #: Interleaved bare / flight / traced rounds for the instrumentation
 #: overhead legs.  Pairing within one process is the only comparison that
-#: survives container timer noise; best-of-N on each side rejects the
-#: scheduler outliers.
-OVERHEAD_REPEATS = 5
+#: survives container timer noise: each round's legs run back to back, so
+#: a slow spell of the host hits both sides of a round's flight/bare
+#: ratio, and the median over the rounds rejects the rounds it does not.
+OVERHEAD_ROUNDS = 9
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 
@@ -74,7 +76,9 @@ def _sweep_rows() -> list[dict]:
 
 def _overhead_legs(cluster, marked) -> tuple[dict, dict]:
     """Bare vs flight-recorded vs traced throughput, interleaved in this
-    process; returns ``(flight_overhead, traced_overhead)``.
+    process; returns ``(flight_overhead, traced_overhead)``.  Each
+    overhead is one minus the median of the per-round paired ratios, and
+    each reported rate is the median of its leg's rounds.
 
     The flight recorder is always-on instrumentation when attached (the
     engine's record hook is then the ring's prebound append), so its cost
@@ -93,28 +97,39 @@ def _overhead_legs(cluster, marked) -> tuple[dict, dict]:
     }
     for leg in legs.values():
         leg()  # warm-up
-    best = dict.fromkeys(legs, 0.0)
-    for _ in range(OVERHEAD_REPEATS):
-        for name, leg in legs.items():
+    rates: dict[str, list[float]] = {name: [] for name in legs}
+    for round_ in range(OVERHEAD_ROUNDS):
+        # Alternate the leg order so no leg always runs first in a round.
+        names = list(legs) if round_ % 2 == 0 else list(legs)[::-1]
+        for name in names:
             # A traced run's record holds ~22k tuples: free it and reset
             # the collector's counts outside the timed window, so no leg
             # pays for another leg's garbage.
             gc.collect()
             t0 = time.perf_counter()
-            record = leg()
+            record = legs[name]()
             dt = time.perf_counter() - t0
-            best[name] = max(best[name], record.run.events / dt)
+            rates[name].append(record.run.events / dt)
             del record
+
+    def overhead(name: str) -> float:
+        """One minus the median of the per-round ``leg / bare`` ratios."""
+        ratios = [r / b for r, b in zip(rates[name], rates["bare"])]
+        return 1.0 - statistics.median(ratios)
+
+    bare = statistics.median(rates["bare"])
     flight_overhead = {
         "capacity": flight.capacity,
-        "bare_events_per_second": best["bare"],
-        "flight_events_per_second": best["flight"],
-        "overhead_fraction": 1.0 - best["flight"] / best["bare"],
+        "rounds": OVERHEAD_ROUNDS,
+        "bare_events_per_second": bare,
+        "flight_events_per_second": statistics.median(rates["flight"]),
+        "overhead_fraction": overhead("flight"),
     }
     traced_overhead = {
-        "bare_events_per_second": best["bare"],
-        "traced_events_per_second": best["traced"],
-        "overhead_fraction": 1.0 - best["traced"] / best["bare"],
+        "rounds": OVERHEAD_ROUNDS,
+        "bare_events_per_second": bare,
+        "traced_events_per_second": statistics.median(rates["traced"]),
+        "overhead_fraction": overhead("traced"),
     }
     return flight_overhead, traced_overhead
 

@@ -29,7 +29,7 @@ from __future__ import annotations
 import math
 from typing import Callable
 
-from scipy.optimize import brentq
+from .rootfind import brentq
 
 from .types import MetricError, _require_positive
 

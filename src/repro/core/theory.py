@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from typing import Callable
 
-from scipy.optimize import brentq
+from .rootfind import brentq
 
 from .types import MetricError, _require_positive
 

@@ -144,6 +144,12 @@ class MetricsRegistry:
         self._counters: dict[tuple[str, LabelKey], Counter] = {}
         self._gauges: dict[tuple[str, LabelKey], Gauge] = {}
         self._histograms: dict[tuple[str, LabelKey], Histogram] = {}
+        # record_op's instruments, memoized so the hot path skips the
+        # label-key sort; each is still created through the get-or-create
+        # accessors, so the stores keep their creation order.
+        self._op_instruments: dict[tuple[int, str], tuple] = {}
+        self._byte_instruments: dict[tuple[int, str], tuple] = {}
+        self._flop_counters: dict[int, Counter] = {}
 
     # -- instrument access -------------------------------------------------
     def counter(self, name: str, **labels: Any) -> Counter:
@@ -195,17 +201,33 @@ class MetricsRegistry:
         and, when applicable, ``sim_bytes_total{rank,kind}``,
         ``sim_message_bytes{kind}`` and ``sim_flops_total{rank}``.
         """
-        self.counter("sim_ops_total", rank=rank, kind=kind).inc()
-        self.histogram("sim_op_seconds", rank=rank, kind=kind).observe(
-            end - start
-        )
+        key = (rank, kind)
+        ops = self._op_instruments.get(key)
+        if ops is None:
+            ops = self._op_instruments[key] = (
+                self.counter("sim_ops_total", rank=rank, kind=kind),
+                self.histogram("sim_op_seconds", rank=rank, kind=kind),
+            )
+        ops[0].inc()
+        ops[1].observe(end - start)
         if nbytes:
-            self.counter("sim_bytes_total", rank=rank, kind=kind).inc(nbytes)
-            self.histogram(
-                "sim_message_bytes", buckets=BYTES_BUCKETS, kind=kind
-            ).observe(nbytes)
+            sent = self._byte_instruments.get(key)
+            if sent is None:
+                sent = self._byte_instruments[key] = (
+                    self.counter("sim_bytes_total", rank=rank, kind=kind),
+                    self.histogram(
+                        "sim_message_bytes", buckets=BYTES_BUCKETS, kind=kind
+                    ),
+                )
+            sent[0].inc(nbytes)
+            sent[1].observe(nbytes)
         if flops:
-            self.counter("sim_flops_total", rank=rank).inc(flops)
+            counter = self._flop_counters.get(rank)
+            if counter is None:
+                counter = self._flop_counters[rank] = self.counter(
+                    "sim_flops_total", rank=rank
+                )
+            counter.inc(flops)
 
     def record_engine(
         self,

@@ -72,7 +72,15 @@ class TestSweepProfile:
         assert telemetry["pool"]["reuse"] is True
         assert telemetry["pool"]["spawns"] == 0
         assert telemetry["phases"]["spawn"] == 0.0
-        assert telemetry["coverage"] >= 0.95
+        # Every point and task is accounted for: one span per point in
+        # each per-point phase, and the workers ran all three tasks.
+        counts = telemetry["phase_counts"]
+        assert telemetry["points"] == 3
+        for phase in ("cache_probe", "queue_wait", "engine_run",
+                      "serialize", "cache_write"):
+            assert counts[phase] == 3, counts
+        assert counts["collect"] >= 3, counts
+        assert sum(w["tasks"] for w in telemetry["workers"]) == 3
 
     def test_trace_out_has_labeled_worker_tracks(self, capsys, tmp_path):
         trace_path = tmp_path / "timeline.json"
